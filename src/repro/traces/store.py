@@ -11,6 +11,31 @@ Two interchange formats are supported:
 - **CSV** -- one row per sample, a fixed header, round-trips exactly;
 - **JSONL** -- one JSON object per sample; self-describing, slightly
   larger, convenient for external tooling.
+
+CSV contract
+------------
+CSV bytes are the equality oracle of the whole suite (shard merges,
+kernels and resumed runs are all compared by them), so the format is
+fixed to the byte:
+
+- the first row is the fixed :data:`CSV_FIELDS` header;
+- every row, the header included, ends in CRLF (``\\r\\n``);
+- quoting is :mod:`csv` ``QUOTE_MINIMAL``: a field containing ``,``,
+  ``"``, ``\\r`` or ``\\n`` is wrapped in double quotes with inner quotes
+  doubled, every other field is written bare;
+- integers are written with ``str``, floats with Python ``repr``
+  (shortest round-tripping digits, ``inf``, ``-inf``, ``nan``);
+- the NaN ``session_start`` of a sessionless sample is an empty field.
+
+:meth:`TraceStore.write_csv` and :meth:`TraceStore.read_csv` work one
+column and one chunk of rows at a time.  Their byte identity with the
+per-row ``csv.writer`` / ``csv.reader`` implementation they replaced is
+pinned by the reference property test ``tests/test_csv_reference.py``.
+The reader accepts what ``csv.reader`` accepts (LF or CR line ends,
+quoted fields spanning lines) and numeric fields accept what ``int()``
+and ``float()`` accept; a malformed file raises
+:class:`~repro.errors.TraceFormatError` (bad header) or
+:class:`~repro.errors.TraceCorruptionError` (bad row) naming the line.
 """
 
 from __future__ import annotations
@@ -19,36 +44,57 @@ import array
 import csv
 import json
 import math
+import re
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Union
+
+import numpy as np
 
 from repro.errors import TraceCorruptionError, TraceFormatError
 from repro.traces.records import Sample, TraceMeta
 
 __all__ = ["TraceStore", "CSV_FIELDS"]
 
-#: Column order of the CSV format (and of the internal buffers).
-CSV_FIELDS = (
-    "machine_id",
-    "hostname",
-    "lab",
-    "iteration",
-    "t",
-    "boot_time",
-    "uptime_s",
-    "cpu_idle_s",
-    "mem_load_pct",
-    "swap_load_pct",
-    "disk_total_b",
-    "disk_free_b",
-    "smart_cycles",
-    "smart_poh_h",
-    "net_sent_b",
-    "net_recv_b",
-    "has_session",
-    "username",
-    "session_start",
+#: (CSV field, buffer attribute, :mod:`array` typecode) in CSV column
+#: order; a typecode of ``None`` marks a list of ``str``.  Each typecode
+#: doubles as the NumPy dtype of the buffer.
+_COLUMNS = (
+    ("machine_id", "_machine_id", "i"),
+    ("hostname", "_hostnames", None),
+    ("lab", "_labs", None),
+    ("iteration", "_iteration", "i"),
+    ("t", "_t", "d"),
+    ("boot_time", "_boot_time", "d"),
+    ("uptime_s", "_uptime", "d"),
+    ("cpu_idle_s", "_idle", "d"),
+    ("mem_load_pct", "_mem", "d"),
+    ("swap_load_pct", "_swap", "d"),
+    ("disk_total_b", "_disk_total", "q"),
+    ("disk_free_b", "_disk_free", "q"),
+    ("smart_cycles", "_cycles", "q"),
+    ("smart_poh_h", "_poh", "d"),
+    ("net_sent_b", "_sent", "q"),
+    ("net_recv_b", "_recv", "q"),
+    ("has_session", "_has_session", "b"),
+    ("username", "_usernames", None),
+    ("session_start", "_session_start", "d"),
 )
+
+#: Column order of the CSV format (and of the internal buffers).
+CSV_FIELDS = tuple(field for field, _, _ in _COLUMNS)
+
+_ATTRS = {field: attr for field, attr, _ in _COLUMNS}
+
+#: Rows per chunk of the CSV writer and reader.  The writer amortises
+#: its per-chunk NumPy calls and formats fewer distinct values per row
+#: over long chunks; the reader is bound by the ~20k field strings of a
+#: chunk, which stay cache-resident in short ones.
+_WRITE_CHUNK_ROWS = 8192
+_READ_CHUNK_ROWS = 1024
+
+#: A field ``csv.writer`` quotes under ``QUOTE_MINIMAL``.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 class TraceStore:
@@ -63,25 +109,8 @@ class TraceStore:
 
     def __init__(self, meta: TraceMeta | None = None):
         self.meta = meta
-        self._machine_id = array.array("i")
-        self._iteration = array.array("i")
-        self._t = array.array("d")
-        self._boot_time = array.array("d")
-        self._uptime = array.array("d")
-        self._idle = array.array("d")
-        self._mem = array.array("d")
-        self._swap = array.array("d")
-        self._disk_total = array.array("q")
-        self._disk_free = array.array("q")
-        self._cycles = array.array("q")
-        self._poh = array.array("d")
-        self._sent = array.array("q")
-        self._recv = array.array("q")
-        self._has_session = array.array("b")
-        self._session_start = array.array("d")
-        self._usernames: List[str] = []
-        self._hostnames: List[str] = []
-        self._labs: List[str] = []
+        for _, attr, typecode in _COLUMNS:
+            setattr(self, attr, [] if typecode is None else array.array(typecode))
 
     # ------------------------------------------------------------------
     def add(self, s: Sample) -> None:
@@ -111,33 +140,6 @@ class TraceStore:
         for s in samples:
             self.add(s)
 
-    #: (CSV field, attribute, numpy dtype) for every numeric buffer, and
-    #: (CSV field, attribute) for the string buffers -- the bulk-append
-    #: counterpart of :data:`CSV_FIELDS`.
-    _COLUMN_NUMERIC = (
-        ("machine_id", "_machine_id", "i4"),
-        ("iteration", "_iteration", "i4"),
-        ("t", "_t", "f8"),
-        ("boot_time", "_boot_time", "f8"),
-        ("uptime_s", "_uptime", "f8"),
-        ("cpu_idle_s", "_idle", "f8"),
-        ("mem_load_pct", "_mem", "f8"),
-        ("swap_load_pct", "_swap", "f8"),
-        ("disk_total_b", "_disk_total", "i8"),
-        ("disk_free_b", "_disk_free", "i8"),
-        ("smart_cycles", "_cycles", "i8"),
-        ("smart_poh_h", "_poh", "f8"),
-        ("net_sent_b", "_sent", "i8"),
-        ("net_recv_b", "_recv", "i8"),
-        ("has_session", "_has_session", "i1"),
-        ("session_start", "_session_start", "f8"),
-    )
-    _COLUMN_STRINGS = (
-        ("username", "_usernames"),
-        ("hostname", "_hostnames"),
-        ("lab", "_labs"),
-    )
-
     def extend_columns(self, **columns) -> None:
         """Bulk-append one equal-length column per CSV field.
 
@@ -148,25 +150,23 @@ class TraceStore:
         through the buffer's exact dtype (integer casts truncate toward
         zero, matching ``int()``); string columns are list-extended.
         """
-        import numpy as np
-
         n: int | None = None
-        for field, attr, dtype in self._COLUMN_NUMERIC:
-            col = np.ascontiguousarray(columns.pop(field), dtype=dtype)
+        for field, attr, typecode in _COLUMNS:
+            col = columns.pop(field)
+            if typecode is not None:
+                col = np.ascontiguousarray(col, dtype=typecode)
             if n is None:
                 n = len(col)
             elif len(col) != n:
                 raise TraceFormatError(
                     f"column {field!r} has length {len(col)}, expected {n}"
                 )
-            getattr(self, attr).frombytes(col.tobytes())
-        for field, attr in self._COLUMN_STRINGS:
-            vals = columns.pop(field)
-            if len(vals) != n:
-                raise TraceFormatError(
-                    f"column {field!r} has length {len(vals)}, expected {n}"
-                )
-            getattr(self, attr).extend(vals)
+            if typecode is None:
+                getattr(self, attr).extend(col)
+            else:
+                # a copy, not a byte view: at the few-dozen-row batches of
+                # the columnar pass, tobytes() is the cheaper of the two
+                getattr(self, attr).frombytes(col.tobytes())
         if columns:
             raise TraceFormatError(
                 f"unknown trace columns {sorted(columns)!r}"
@@ -208,27 +208,6 @@ class TraceStore:
     # ------------------------------------------------------------------
     # shard merge
     # ------------------------------------------------------------------
-    #: (attribute, array typecode, numpy dtype) of every numeric buffer.
-    _NUMERIC_BUFFERS = (
-        ("_machine_id", "i", "i4"),
-        ("_iteration", "i", "i4"),
-        ("_t", "d", "f8"),
-        ("_boot_time", "d", "f8"),
-        ("_uptime", "d", "f8"),
-        ("_idle", "d", "f8"),
-        ("_mem", "d", "f8"),
-        ("_swap", "d", "f8"),
-        ("_disk_total", "q", "i8"),
-        ("_disk_free", "q", "i8"),
-        ("_cycles", "q", "i8"),
-        ("_poh", "d", "f8"),
-        ("_sent", "q", "i8"),
-        ("_recv", "q", "i8"),
-        ("_has_session", "b", "i1"),
-        ("_session_start", "d", "f8"),
-    )
-    _STRING_BUFFERS = ("_usernames", "_hostnames", "_labs")
-
     @classmethod
     def merge(cls, stores: "Sequence[TraceStore]") -> "TraceStore":
         """Merge per-shard stores into one deterministically ordered trace.
@@ -248,8 +227,6 @@ class TraceStore:
         - overlapping ``machine_id`` sets (two shards claiming the same
           machine would mean double-counted samples, never a valid plan).
         """
-        import numpy as np
-
         stores = list(stores)
         if not stores:
             raise TraceFormatError("cannot merge zero trace stores")
@@ -281,19 +258,20 @@ class TraceStore:
         # disjoint across stores.
         perm = np.lexsort((machine_id, iteration))
         out = cls(meta)
-        for attr, typecode, dtype in cls._NUMERIC_BUFFERS:
-            col = np.concatenate(
-                [np.frombuffer(getattr(st, attr), dtype=dtype)
-                 for st in stores]
-            )[perm]
-            buf = array.array(typecode)
-            buf.frombytes(col.tobytes())
-            setattr(out, attr, buf)
-        for attr in cls._STRING_BUFFERS:
-            combined: List[str] = []
-            for st in stores:
-                combined.extend(getattr(st, attr))
-            setattr(out, attr, [combined[i] for i in perm])
+        for _, attr, typecode in _COLUMNS:
+            if typecode is None:
+                combined: List[str] = []
+                for st in stores:
+                    combined.extend(getattr(st, attr))
+                setattr(out, attr, [combined[i] for i in perm])
+            else:
+                col = np.concatenate(
+                    [np.frombuffer(getattr(st, attr), dtype=typecode)
+                     for st in stores]
+                )[perm]
+                # frombytes takes only a byte-format buffer; the cast
+                # spares a copy of the whole merged column
+                getattr(out, attr).frombytes(memoryview(col).cast("B"))
         return out
 
     # ------------------------------------------------------------------
@@ -301,29 +279,8 @@ class TraceStore:
     # ------------------------------------------------------------------
     def column(self, name: str):
         """Return the raw internal buffer for column ``name``."""
-        mapping = {
-            "machine_id": self._machine_id,
-            "iteration": self._iteration,
-            "t": self._t,
-            "boot_time": self._boot_time,
-            "uptime_s": self._uptime,
-            "cpu_idle_s": self._idle,
-            "mem_load_pct": self._mem,
-            "swap_load_pct": self._swap,
-            "disk_total_b": self._disk_total,
-            "disk_free_b": self._disk_free,
-            "smart_cycles": self._cycles,
-            "smart_poh_h": self._poh,
-            "net_sent_b": self._sent,
-            "net_recv_b": self._recv,
-            "has_session": self._has_session,
-            "session_start": self._session_start,
-            "username": self._usernames,
-            "hostname": self._hostnames,
-            "lab": self._labs,
-        }
         try:
-            return mapping[name]
+            return getattr(self, _ATTRS[name])
         except KeyError:
             raise TraceFormatError(f"unknown trace column {name!r}") from None
 
@@ -331,52 +288,60 @@ class TraceStore:
     # CSV
     # ------------------------------------------------------------------
     def write_csv(self, path: Union[str, Path]) -> None:
-        """Write the trace as CSV with the :data:`CSV_FIELDS` header."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_FIELDS)
-            for i in range(len(self)):
-                w.writerow(self._row(i))
+        """Write the trace as CSV under the module's CSV contract.
 
-    def _row(self, i: int) -> tuple:
-        ss = self._session_start[i]
-        return (
-            self._machine_id[i],
-            self._hostnames[i],
-            self._labs[i],
-            self._iteration[i],
-            repr(self._t[i]),
-            repr(self._boot_time[i]),
-            repr(self._uptime[i]),
-            repr(self._idle[i]),
-            repr(self._mem[i]),
-            repr(self._swap[i]),
-            self._disk_total[i],
-            self._disk_free[i],
-            self._cycles[i],
-            repr(self._poh[i]),
-            self._sent[i],
-            self._recv[i],
-            self._has_session[i],
-            self._usernames[i],
-            "" if math.isnan(ss) else repr(ss),
-        )
+        Each chunk of rows is formatted column by column, then zipped
+        into rows and written with a single join.
+        """
+        n = len(self)
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(CSV_FIELDS) + "\r\n")
+            for a in range(0, n, _WRITE_CHUNK_ROWS):
+                b = min(a + _WRITE_CHUNK_ROWS, n)
+                columns = []
+                for field, attr, typecode in _COLUMNS:
+                    buf = getattr(self, attr)
+                    if typecode is None:
+                        columns.append(_quoted(buf[a:b]))
+                    else:
+                        values = np.frombuffer(buf, dtype=typecode)[a:b]
+                        columns.append(_texts(values, _FORMATS[field]))
+                fh.write("\r\n".join(map(",".join, zip(*columns))))
+                fh.write("\r\n")
 
     @classmethod
     def read_csv(cls, path: Union[str, Path], meta: TraceMeta | None = None) -> "TraceStore":
-        """Read a trace written by :meth:`write_csv`."""
+        """Read a trace written by :meth:`write_csv`.
+
+        Chunks whose lines are all CRLF-terminated and quote-free are
+        split with one ``str.split`` and parsed column by column; any
+        other chunk is split by ``csv.reader``, which may read on past
+        the chunk to finish a quoted field.  String columns share one
+        ``str`` object per distinct value.
+        """
         store = cls(meta)
+        strings: dict = {}
         with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None or tuple(header) != CSV_FIELDS:
                 raise TraceFormatError(f"bad CSV header in {path}")
-            for row in r:
-                if len(row) != len(CSV_FIELDS):
-                    raise TraceCorruptionError(
-                        f"bad CSV row width in {path}: {row!r}"
-                    )
-                store.add(_sample_from_strings(row))
+            line = reader.line_num  # physical lines consumed so far
+            while True:
+                lines = list(islice(fh, _READ_CHUNK_ROWS))
+                if not lines:
+                    break
+                text = ",".join(lines)
+                if '"' in text or text.count("\r\n") != len(lines):
+                    flat, row_lines, consumed = _split_with_csv(
+                        lines, fh, line, path)
+                else:
+                    flat = _split_plain(text, lines, line, path)
+                    row_lines = range(line + 1, line + 1 + len(lines))
+                    consumed = len(lines)
+                line += consumed
+                store.extend_columns(
+                    **_parse_columns(flat, row_lines, strings, path))
         return store
 
     # ------------------------------------------------------------------
@@ -417,29 +382,152 @@ class TraceStore:
         return store
 
 
-def _sample_from_strings(row: List[str]) -> Sample:
-    """Parse one CSV row back into a :class:`Sample`."""
+# ----------------------------------------------------------------------
+# CSV writer helpers
+# ----------------------------------------------------------------------
+def _quoted(values: List[str]) -> List[str]:
+    """``values`` as ``csv.writer`` writes them under ``QUOTE_MINIMAL``."""
+    if not _NEEDS_QUOTES.search("".join(values)):
+        return values
+    return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v
+            for v in values]
+
+
+def _session_start_text(v: float) -> str:
+    return "" if math.isnan(v) else repr(v)
+
+
+#: Text of one numeric value, by CSV field.
+_FORMATS = {field: str if typecode in "ibq" else repr
+            for field, _, typecode in _COLUMNS if typecode is not None}
+_FORMATS["session_start"] = _session_start_text
+
+
+def _texts(values: np.ndarray, fmt) -> Iterable[str]:
+    """``fmt`` of every value, formatting each distinct value once when
+    at most half of the values are distinct.
+
+    Values are told apart by their bit pattern, so ``-0.0`` and ``0.0``
+    (equal as floats) keep their own text.
+    """
+    keys, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                              return_inverse=True)
+    if 2 * len(keys) > len(values):
+        return map(fmt, values.tolist())
+    texts = list(map(fmt, keys.view(values.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+# ----------------------------------------------------------------------
+# CSV reader helpers
+# ----------------------------------------------------------------------
+def _split_plain(text: str, lines: List[str], line: int, path) -> List[str]:
+    """Split quote-free, CRLF-terminated ``lines`` (joined by commas into
+    ``text``) into row-major fields.
+
+    Each line holds exactly one CRLF, at its end, so the field that
+    carries it closes a row; every row has the full width exactly when
+    those fields sit at the last column of every row.
+    """
+    width = len(_COLUMNS)
+    flat = text.split(",")
+    ends = flat[width - 1::width]
+    if (len(flat) != width * len(lines)
+            or "".join(ends).count("\r\n") != len(lines)):
+        for k, row in enumerate(lines):
+            if row.count(",") != width - 1:
+                raise TraceCorruptionError(
+                    f"{path}:{line + 1 + k}: bad CSV row width "
+                    f"{row.count(',') + 1}, expected {width}"
+                )
+    flat[width - 1::width] = [s[:-2] for s in ends]
+    return flat
+
+
+def _split_with_csv(lines: List[str], rest, line: int, path):
+    """Split a chunk with ``csv.reader``; returns (fields, row lines, lines read).
+
+    ``rest`` is the open file: a quoted field that crosses the end of
+    the chunk is finished from it, exactly as one ``csv.reader`` over the
+    whole file would.
+    """
+    reader = csv.reader(chain(lines, rest))
+    flat: List[str] = []
+    row_lines: List[int] = []
     try:
-        return Sample(
-            machine_id=int(row[0]),
-            hostname=row[1],
-            lab=row[2],
-            iteration=int(row[3]),
-            t=float(row[4]),
-            boot_time=float(row[5]),
-            uptime_s=float(row[6]),
-            cpu_idle_s=float(row[7]),
-            mem_load_pct=float(row[8]),
-            swap_load_pct=float(row[9]),
-            disk_total_b=int(row[10]),
-            disk_free_b=int(row[11]),
-            smart_cycles=int(row[12]),
-            smart_poh_h=float(row[13]),
-            net_sent_b=int(row[14]),
-            net_recv_b=int(row[15]),
-            has_session=bool(int(row[16])),
-            username=row[17],
-            session_start=float(row[18]) if row[18] else float("nan"),
-        )
-    except (ValueError, IndexError) as exc:
-        raise TraceCorruptionError(f"bad CSV row: {row!r}") from exc
+        while reader.line_num < len(lines):
+            row_lines.append(line + reader.line_num + 1)
+            row = next(reader)
+            if len(row) != len(_COLUMNS):
+                raise TraceCorruptionError(
+                    f"{path}:{row_lines[-1]}: bad CSV row width "
+                    f"{len(row)}, expected {len(_COLUMNS)}"
+                )
+            flat.extend(row)
+    except csv.Error as exc:
+        raise TraceCorruptionError(f"{path}:{row_lines[-1]}: {exc}") from exc
+    return flat, row_lines, reader.line_num
+
+
+def _parse_columns(flat: List[str], row_lines: Sequence[int],
+                   strings: dict, path) -> dict:
+    """Parse one chunk of row-major fields into validated columns.
+
+    ``row_lines`` maps a chunk row to its line in the file (for error
+    messages); ``strings`` is the intern table shared across chunks.
+    """
+    width = len(_COLUMNS)
+    cols = {}
+    for j, (field, _, typecode) in enumerate(_COLUMNS):
+        raw = flat[j::width]
+        if typecode is None:
+            cols[field] = list(map(strings.setdefault, raw, raw))
+            continue
+        if field == "session_start":
+            raw = [s or "nan" for s in raw]
+        try:
+            # parses each str exactly as int() / float() would, and
+            # raises OverflowError outside the buffer's range
+            values = np.array(raw, dtype=typecode)
+        except (ValueError, OverflowError):
+            values = None
+        if values is None or (field == "has_session" and (
+                values.min() < 0 or values.max() > 1)):
+            k = _first_bad(raw, typecode)
+            raise TraceCorruptionError(
+                f"{path}:{row_lines[k]}: bad {field} value {raw[k]!r}"
+            )
+        cols[field] = values
+    # the Sample.__post_init__ invariants, as masks over the chunk
+    uptime, idle = cols["uptime_s"], cols["cpu_idle_s"]
+    session = cols["has_session"] == 1
+    named = np.fromiter(map(bool, cols["username"]), dtype=bool,
+                        count=len(session))
+    for mask, message in (
+        (uptime < 0, "uptime cannot be negative"),
+        ((idle < -1e-6) | (idle > uptime + 1e-6),
+         "idle time must lie within [0, uptime]"),
+        (session != named, "session flag and username are inconsistent"),
+        (session & np.isnan(cols["session_start"]),
+         "an open session needs a start time"),
+    ):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            raise TraceCorruptionError(
+                f"{path}:{row_lines[int(bad[0])]}: {message}"
+            )
+    return cols
+
+
+def _first_bad(raw: List[str], typecode: str) -> int:
+    """Index of the first text that does not parse into ``typecode``
+    (for ``has_session``, that is not 0 or 1): the slow path that names
+    the bad line once a whole column failed."""
+    for k, text in enumerate(raw):
+        try:
+            v = np.array([text], dtype=typecode)[0]
+        except (ValueError, OverflowError):
+            return k
+        if typecode == "b" and v not in (0, 1):
+            return k
+    raise AssertionError("no bad value in a column that failed to parse")

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import TraceCorruptionError, TraceError, TraceFormatError
+from repro.machines.hardware import TABLE1_LABS
 from repro.traces.records import Sample, StaticInfo, TraceMeta
 from repro.traces.store import TraceStore
 
@@ -143,6 +144,51 @@ class TestCsvRoundtrip:
         # callers catching the broader classes keep working
         assert issubclass(TraceCorruptionError, TraceFormatError)
         assert issubclass(TraceCorruptionError, TraceError)
+
+    @pytest.mark.parametrize("value", ["2", "-1", "10"])
+    def test_has_session_outside_0_1_is_corruption(self, tmp_path, value):
+        """Any other integer used to fold silently into 1 on read."""
+        store = TraceStore()
+        store.add(make_sample(0))
+        path = tmp_path / "trace.csv"
+        store.write_csv(path)
+        header, row = path.read_bytes().decode().splitlines()
+        fields = row.split(",")
+        fields[16] = value
+        path.write_bytes(f"{header}\r\n{','.join(fields)}\r\n".encode())
+        with pytest.raises(TraceCorruptionError, match="has_session"):
+            TraceStore.read_csv(path)
+
+    def test_errors_name_the_line(self, tmp_path):
+        store = TraceStore()
+        for i in range(3):
+            store.add(make_sample(i))
+        path = tmp_path / "trace.csv"
+        store.write_csv(path)
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        fields = lines[3].split(",")  # the third data row
+        fields[3] = "x"  # its iteration
+        lines[3] = ",".join(fields)
+        path.write_bytes("".join(lines).encode())
+        with pytest.raises(TraceCorruptionError, match=r"trace\.csv:4: bad iteration"):
+            TraceStore.read_csv(path)
+        lines[3] = "1,2,3\r\n"
+        path.write_bytes("".join(lines).encode())
+        with pytest.raises(TraceCorruptionError, match=r"trace\.csv:4: .*width"):
+            TraceStore.read_csv(path)
+
+    def test_read_back_strings_are_interned(self, small_result, tmp_path):
+        """One str object per distinct hostname, lab and username."""
+        path = tmp_path / "trace.csv"
+        small_result.store.write_csv(path)
+        back = TraceStore.read_csv(path)
+        assert len({id(s) for s in back.column("lab")}) <= len(TABLE1_LABS)
+        for name in ("hostname", "username"):
+            col = back.column(name)
+            assert len({id(s) for s in col}) == len(set(col))
+        again = tmp_path / "again.csv"
+        back.write_csv(again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestJsonlRoundtrip:
