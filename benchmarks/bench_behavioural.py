@@ -10,10 +10,10 @@ above the fleet-size threshold.
 Two measurements, one JSON artifact (``BENCH_behavioural.json``):
 
 1. **Behavioural phase** -- a fleet-only day (no coordinator, no
-   probing): the object agents versus the vector engine on the same
-   roster and seed.  Target: **>= 4x** at 10k machines.
+   probing): the agents on the exact tick backend versus the vector
+   engine on the same roster and seed.  Target: **>= 4x** at 10k machines.
 2. **End to end** -- a full 1-day run: the exact path (columnar probing
-   + object behaviour, the previous state of the art and the
+   + exact tick-backend behaviour, the previous state of the art and the
    ``BENCH_fleet_scale.json`` baseline) versus
    ``kernel="columnar", behavioural_equivalence="statistical"``.
    Target: **>= 2x** at 10k machines.
@@ -99,7 +99,7 @@ def test_behavioural_engine_speedup():
 
     obj_fleet_s, obj_backend = _fleet_only_day(exact, labs)
     vec_fleet_s, vec_backend = _fleet_only_day(stat, labs)
-    assert obj_backend == "object"
+    assert obj_backend == "tick"
     assert vec_backend == "vector", (
         f"statistical mode did not engage the vector engine at {n} "
         f"machines (backend {vec_backend!r})"

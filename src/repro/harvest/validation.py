@@ -68,9 +68,11 @@ def validate_equivalence(
     batch: TaskBatch = make_batch(n_tasks, rng, mean_work_hours=mean_work_hours)
     perf = np.array([m.spec.perf_index for m in fleet.machines], dtype=float)
     weights = perf / perf.mean()
+    # Polls read machine state between ticks, so they run on the
+    # behaviour engine, in step with the events they observe.
     scheduler = HarvestScheduler(
         fleet.machines,
-        fleet.sim,
+        fleet.behaviour_sim,
         batch,
         policy,
         weights=weights,

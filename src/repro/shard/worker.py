@@ -353,12 +353,9 @@ def _resolve_kernel(
     instead of silently falling back.  Called after ``runtime.bind`` so
     an attached recovery runtime is visible to the eligibility check.
 
-    Enabling the columnar pass also moves the *behavioural* loop onto
-    its columnar backend (exact tick batches, or the statistical vector
-    engine when the config opted in) -- the coordinator and the fleet
-    share the same write-through mirror via ``fleet.ensure_columns()``.
-    A sharded coordinator is eligible: the pass draws the full roster
-    and materialises only the owned slice.
+    Only the probing pass changes: the fleet's behavioural backend was
+    fixed when it was built.  A sharded coordinator is eligible: the
+    pass draws the full roster and materialises only the owned slice.
     """
     if cfg.kernel == "object":
         return
@@ -370,7 +367,6 @@ def _resolve_kernel(
         reason = coordinator.columnar_ineligibility()
     if reason is None:
         coordinator.enable_columnar(fleet.ensure_columns())
-        fleet.activate_columnar_behaviour()
     elif cfg.kernel == "columnar":
         raise ValueError(
             f"kernel='columnar' requested but the run is ineligible: "

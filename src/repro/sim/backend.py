@@ -1,46 +1,46 @@
-"""Behavioural backends: how the per-machine event loop is driven.
+"""The exact tick backend: the one scheduler of agent-driven fleets.
 
-Phase 1 of the columnar kernel (PR 6) vectorised the DDC probing pass;
-the behavioural event loop -- boots, logins, workload redraws, sweeps --
-stayed one engine event per machine transition on the shared heap.  This
-module is phase 2's *exact* backend: the behavioural events move off the
-probing engine's heap onto a private micro-engine that is advanced in
-15-minute batches, one outer ``btick`` event per DDC sampling period.
+Every :class:`~repro.sim.fleet.FleetSimulator` whose machines are driven
+by agents runs their behavioural events -- boots, logins, workload
+redraws, short cycles -- on a private micro-engine, advanced in
+batches by one outer ``btick`` event per DDC sampling period (15
+minutes in the paper).
+The outer (probing) engine carries only those batch events, the closing
+staff sweeps and the probes.  The statistical vector engine
+(:mod:`repro.sim.vector`) is the only other behavioural backend.
 
-:class:`TickBackend` is deliberately draw-for-draw exact:
+Agents schedule on the inner :class:`~repro.sim.engine.Simulator` with
+the same callbacks, per-machine RNG streams and event times as any
+engine; the inner clock is advanced to each event's time before its
+callback runs, so every accumulator fold sees the event's own ``now``.
 
-- Agents schedule on the inner :class:`~repro.sim.engine.Simulator`
-  unchanged -- same callbacks, same per-machine RNG streams, same
-  event times.  The inner clock is advanced to each event's scheduled
-  time before its callback runs, so every accumulator fold sees the
-  same ``now`` as the flat single-heap run.
-- ``btick`` at ``t = k * tick`` fires *before* the DDC iteration at the
-  same instant (it is scheduled earlier, by ``FleetSimulator.start``
-  running before ``DdcCoordinator.start``, and the chain preserves that
-  seq ordering inductively), so every behavioural event with
-  ``time <= t`` has folded into the columnar mirror before the pass
-  reads it -- exactly the state a flat run presents at that instant.
-- Within one machine, events keep their relative (time, scheduling
-  order) -- the inner engine's FIFO tie-break mirrors the outer one.
-  *Across* machines the interleaving at equal timestamps can differ
-  from the flat run, which is unobservable: agents touch only their own
-  machine and draw only from their own stream.
+The visibility rule is one rule, independent of scheduling order:
 
-The one accepted deviation: a behavioural event scheduled at *exactly*
-a tick boundary fires inside the boundary's batch rather than at its
-flat-run heap position relative to same-instant non-behavioural events.
-Behavioural event times are continuous draws (boots at ``start + U``,
-session ends at ``start + lognormal``), so outside the midnight
-planning events -- whose ordering against the pass is preserved, see
-``docs/columnar.md`` -- such ties have probability zero.
+- a probing pass at ``T`` sees every behavioural event with
+  ``time <= T`` -- ``btick`` at ``T`` is scheduled before the DDC
+  iteration at ``T`` (``FleetSimulator.start`` runs before
+  ``DdcCoordinator.start`` and the chain keeps that order inductively),
+  and advances the inner engine through ``T`` inclusive;
+- a closing sweep at ``T`` runs before the behavioural events timed at
+  ``T`` -- it advances the inner engine half-open, to events with
+  ``time < T``, and the events at ``T`` fold in the ``btick`` that
+  follows it.
 
-``docs/columnar.md`` ("Phase 2") carries the full equivalence argument;
-``tests/test_columnar_equivalence.py`` pins it byte-for-byte.
+Class and closing times sit on the 15-minute grid, so behavioural events
+tying with a pass or a sweep are routine; the rule above fixes their
+outcome.  Because the probing pass only reads machine state, the object
+and columnar passes see the same fleet and write byte-identical traces
+(``docs/columnar.md``; ``tests/test_columnar_equivalence.py`` pins it).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.observer import Observer
 
 __all__ = ["TickBackend"]
 
@@ -57,12 +57,16 @@ class TickBackend:
         Batch period in seconds -- the DDC sampling period, so each
         probing pass observes a fully advanced mirror.
     horizon:
-        End of the run; the chain stops there (firing a final batch at
-        the horizon itself so per-stream RNG cursors match the flat
-        run's exactly).
+        End of the run; the chain stops there, firing a final batch at
+        the horizon itself so every event up to it has run.
+    observer:
+        Optional :class:`repro.obs.Observer`, handed to the private
+        engine so its events count in the same ``sim.*`` metrics as the
+        outer engine's.
     """
 
-    def __init__(self, sim: Simulator, tick: float, horizon: float):
+    def __init__(self, sim: Simulator, tick: float, horizon: float,
+                 observer: Optional["Observer"] = None):
         if tick <= 0:
             raise ValueError(f"tick period must be positive, got {tick!r}")
         self.sim = sim
@@ -70,19 +74,15 @@ class TickBackend:
         self.horizon = float(horizon)
         #: The agents' scheduling environment: a private engine with the
         #: same ``schedule``/``now`` contract as the outer one.
-        self.env = Simulator(start=sim.now)
-        self._started = False
+        self.env = Simulator(start=sim.now, observer=observer)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Chain the first batch event onto the outer engine (idempotent).
+        """Chain the first batch event onto the outer engine.
 
         Must run before the coordinator schedules its first iteration so
         the batch at each shared instant keeps the lower sequence number.
         """
-        if self._started:
-            return
-        self._started = True
         self.sim.schedule(self.sim.now, self._btick, name="btick")
 
     def advance_to(self, t: float) -> None:
@@ -92,13 +92,11 @@ class TickBackend:
     def advance_before(self, t: float) -> None:
         """Fire events with ``time < t``, leaving ``t`` itself queued.
 
-        The closing-staff sweep needs this half-open advance: on the
-        flat heap the sweep (scheduled at fleet start, hence with the
-        lowest sequence number at its instant) fires *before* any
+        The closing-staff sweep advances half-open: it runs before any
         behavioural event sharing its timestamp -- a session end clamped
-        to closing time, say.  The boundary events then fold in the
-        ``btick`` that follows the sweep at the same instant, before the
-        probing pass reads the mirror, exactly as they do flat.
+        to closing time, say.  Those events fold in the ``btick`` that
+        follows the sweep at the same instant, before the probing pass
+        reads the fleet.
         """
         self.env.run_before(t)
 
@@ -108,9 +106,3 @@ class TickBackend:
         nxt = min(now + self.tick, self.horizon)
         if nxt > now:
             self.sim.schedule(nxt, self._btick, name="btick")
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Entries still queued on the private engine (tests/debugging)."""
-        return len(self.env)

@@ -11,8 +11,10 @@
 - schedules the daily planning and the closing staff sweeps.
 
 The DDC coordinator (:mod:`repro.ddc.coordinator`) runs *inside the same
-simulator*, probing machines as they live -- the same architecture as the
+simulation*, probing machines as they live -- the same architecture as the
 real experiment, where monitoring shared the wall clock with the users.
+The agents' events run on the exact tick backend's private engine
+(:mod:`repro.sim.backend`), advanced in batches by the probing engine.
 
 Event budget: one machine-day costs O(uses + redraws) events; a full
 77-day x 169-machine run is on the order of half a million events and
@@ -32,6 +34,7 @@ from repro.config import ExperimentConfig
 from repro.machines.hardware import TABLE1_LABS, LabSpec, MachineSpec, build_fleet
 from repro.machines.machine import SimMachine
 from repro.machines.smart import SmartDisk
+from repro.sim.backend import TickBackend
 from repro.sim.behavior import BehaviorModel, PlannedUse
 from repro.sim.calendar import DAY, HOUR, AcademicCalendar
 from repro.sim.engine import Simulator
@@ -280,8 +283,8 @@ class FleetSimulator:
     labs:
         Lab catalog; defaults to the paper's Table 1.
     observer:
-        Optional :class:`repro.obs.Observer`.  It is handed to the
-        engine (event/heap accounting), bound to the simulation clock
+        Optional :class:`repro.obs.Observer`.  It is handed to both
+        engines (event/heap accounting), bound to the simulation clock
         for spans, and given to every agent (per-lab session-start and
         power-transition counters).  Absent or disabled observers cost
         nothing.
@@ -367,6 +370,15 @@ class FleetSimulator:
             and workload_factory is None
             and (observer is None or not observer.enabled)
         )
+        # Agents run on the exact tick backend's private engine; the
+        # statistical engine ticks on the outer engine itself.
+        self._backend: Optional[TickBackend] = None if use_vector else TickBackend(
+            self.sim, config.ddc.sample_period, config.horizon, observer=observer
+        )
+        #: The engine behavioural state advances on.  Anything that reads
+        #: machine state between ticks (the harvester's polls) schedules
+        #: here too, so it sees every behavioural event before it.
+        self.behaviour_sim = self.sim if use_vector else self._backend.env
         for spec in self.specs:
             disk = SmartDisk.with_history(
                 spec.disk_serial,
@@ -383,7 +395,7 @@ class FleetSimulator:
                 continue
             agent = MachineAgent(
                 machine,
-                self.sim,
+                self.behaviour_sim,
                 self.calendar,
                 behavior,
                 power,
@@ -398,7 +410,6 @@ class FleetSimulator:
             m.spec.hostname: m for m in self.machines
         }
         self._cols = None
-        self._backend = None
         self._vector = None
         if use_vector:
             from repro.sim.vector import VectorBehaviour
@@ -412,12 +423,12 @@ class FleetSimulator:
         return self._by_hostname[hostname]
 
     # ------------------------------------------------------------------
-    # columnar behavioural backends (docs/columnar.md, "Phase 2")
+    # behavioural backends (docs/columnar.md, "Phase 2")
     # ------------------------------------------------------------------
     def ensure_columns(self):
         """The fleet's :class:`~repro.sim.kernel.FleetColumns` mirror,
         built lazily so the coordinator's columnar pass and the
-        behavioural backends share one write-through view."""
+        statistical engine share one write-through view."""
         if self._cols is None:
             from repro.sim.kernel import FleetColumns
 
@@ -426,42 +437,10 @@ class FleetSimulator:
 
     @property
     def behavioural_backend(self) -> str:
-        """Which behavioural backend drives this fleet:
-        ``"object"``, ``"tick"`` (exact batches) or ``"vector"``
-        (statistical columnar dynamics)."""
-        if self._vector is not None:
-            return "vector"
-        if self._backend is not None:
-            return "tick"
-        return "object"
-
-    def enable_tick_backend(self) -> None:
-        """Move behavioural events onto the exact per-tick backend.
-
-        Must run before :meth:`start`; idempotent, and a no-op when the
-        statistical engine already owns the behavioural loop.
-        """
-        if self._vector is not None or self._backend is not None:
-            return
-        if self._started:
-            raise RuntimeError(
-                "enable_tick_backend must be called before the fleet starts"
-            )
-        from repro.sim.backend import TickBackend
-
-        self._backend = TickBackend(
-            self.sim, self.config.ddc.sample_period, self.config.horizon
-        )
-        for agent in self.agents:
-            agent.sim = self._backend.env
-
-    def activate_columnar_behaviour(self) -> None:
-        """Hook for the kernel resolver: once the coordinator's columnar
-        pass is enabled, drive the behavioural loop columnar too --
-        the statistical engine when the config opted in (selected at
-        construction), the exact tick backend otherwise."""
-        if self._vector is None:
-            self.enable_tick_backend()
+        """Which behavioural backend drives this fleet: ``"tick"``
+        (exact batches) or ``"vector"`` (statistical columnar
+        dynamics)."""
+        return "vector" if self._vector is not None else "tick"
 
     def start(self) -> None:
         """Schedule all agents and staff sweeps (idempotent)."""
@@ -474,8 +453,7 @@ class FleetSimulator:
             for agent in self.agents:
                 agent.start()
                 agent.warm_start()
-            if self._backend is not None:
-                self._backend.start()
+            self._backend.start()
         self._schedule_sweeps()
 
     def _schedule_sweeps(self) -> None:
@@ -503,19 +481,22 @@ class FleetSimulator:
             self._vector.advance_to(now)
             self._vector.sweep(now)
             return
-        if self._backend is not None:
-            # Half-open advance: on the flat heap the sweep (scheduled
-            # at fleet start, lowest seq at its instant) fires before
-            # any behavioural event sharing its timestamp; those
-            # boundary events fold in the btick right after this sweep.
-            self._backend.advance_before(now)
+        # Half-open advance: a sweep at T runs before the behavioural
+        # events timed at T, which fold in the btick right after it.
+        self._backend.advance_before(now)
         for agent in self.agents:
             agent.sweep()
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run the fleet to ``until`` (default: the configured horizon)."""
+        """Run the fleet to ``until`` (default: the configured horizon).
+
+        Behaviour is advanced through the instant the run stopped at, so
+        the live counts below are exact off the tick grid too.
+        """
         self.start()
         self.sim.run_until(self.config.horizon if until is None else until)
+        if self._backend is not None:
+            self._backend.advance_to(self.sim.now)
 
     # ------------------------------------------------------------------
     # live snapshots (used by tests and examples)

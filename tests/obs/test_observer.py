@@ -91,6 +91,10 @@ class TestInstrumentation:
     def test_engine_counters(self, observed_run, snap):
         assert snap.counter_total("sim.events_fired") > 0
         assert snap.gauge_value("sim.heap_depth_max") > 0
+        # the counter covers the probing engine and the behaviour engine
+        fleet = observed_run.fleet
+        assert snap.counter_total("sim.events_fired") == (
+            fleet.sim.events_fired + fleet.behaviour_sim.events_fired)
         # sampled event stream comes from the engine's Event records
         assert snap.events_seen == snap.counter_total("sim.events_fired")
         assert snap.events and {"time", "seq", "name"} <= set(snap.events[0])

@@ -124,3 +124,29 @@ class TestDeterminism:
         fs.run()
         events_once = fs.sim.events_fired
         assert events_once > 0
+
+
+class TestBehaviourScheduler:
+    @pytest.mark.parametrize("kernel", ["auto", "object", "columnar"])
+    def test_every_kernel_runs_the_tick_backend(self, kernel):
+        fs = FleetSimulator(ExperimentConfig(days=1, seed=1, kernel=kernel))
+        assert fs.behavioural_backend == "tick"
+        assert fs.behaviour_sim is not fs.sim
+        assert all(agent.sim is fs.behaviour_sim for agent in fs.agents)
+
+    def test_outer_engine_carries_no_behavioural_event(self):
+        # Two days: 2 * 96 + 1 batch events and the Tuesday 04:00 sweep.
+        fs = FleetSimulator(ExperimentConfig(days=2, seed=31))
+        fs.run()
+        assert fs.sim.events_fired == 2 * 96 + 1 + 1
+        assert fs.behaviour_sim.events_fired > 1000
+
+    def test_run_off_the_grid_advances_behaviour(self):
+        fs = FleetSimulator(ExperimentConfig(days=1, seed=3))
+        until = 10 * HOUR + 7 * 60.0  # between two 15-minute ticks
+        fs.run(until)
+        assert fs.behaviour_sim.now == until
+        assert fs.behaviour_sim.peek() > until
+        # the run resumes seamlessly to the horizon
+        fs.run()
+        assert fs.behaviour_sim.now == fs.config.horizon

@@ -15,7 +15,11 @@ from repro.sim.fleet import FleetSimulator
 
 @pytest.fixture()
 def fleet():
-    """An un-started fleet: agents exist, nothing is scheduled."""
+    """An un-started fleet: agents exist, nothing is scheduled.
+
+    Agents schedule on the fleet's behaviour engine (``agent.sim``), so
+    the tests schedule and advance there too.
+    """
     return FleetSimulator(ExperimentConfig(days=1, seed=101))
 
 
@@ -27,7 +31,7 @@ def _use(start, duration, forget=False, heavy=False):
 class TestGhostTakeover:
     def test_next_user_logs_ghost_out(self, fleet):
         agent = fleet.agents[0]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, HOUR, forget=True))
         sim.run_until(100.0 + HOUR + 120.0)
@@ -43,7 +47,7 @@ class TestGhostTakeover:
 
     def test_occupied_machine_rejects_second_user(self, fleet):
         agent = fleet.agents[1]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR))
         sim.run_until(400.0)
@@ -58,7 +62,7 @@ class TestGhostTakeover:
 class TestSweep:
     def test_sweep_spares_active_user(self, fleet):
         agent = fleet.agents[2]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 4 * HOUR))
         sim.run_until(200.0)
@@ -69,7 +73,7 @@ class TestSweep:
 
     def test_sweep_can_kill_idle_machine(self, fleet):
         agent = fleet.agents[3]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 600.0))
         sim.run_until(100.0 + 600.0 + 200.0)
@@ -93,7 +97,7 @@ class TestSweep:
 class TestShortCycles:
     def test_short_cycle_skipped_when_machine_busy(self, fleet):
         agent = fleet.agents[5]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR))
         sim.run_until(300.0)
@@ -104,7 +108,7 @@ class TestShortCycles:
 
     def test_short_cycle_aborts_shutdown_if_user_arrives(self, fleet):
         agent = fleet.agents[6]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._short_cycle, 600.0)
         sim.run_until(150.0)
@@ -117,7 +121,7 @@ class TestShortCycles:
 
     def test_short_cycle_completes_when_untouched(self, fleet):
         agent = fleet.agents[7]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._short_cycle, 300.0)
         sim.run_until(500.0)
@@ -129,7 +133,7 @@ class TestShortCycles:
 class TestActivityRedraw:
     def test_stale_redraw_is_ignored_after_logout(self, fleet):
         agent = fleet.agents[8]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 600.0))
         sim.run_until(100.0 + 90.0 + 700.0)
@@ -143,7 +147,7 @@ class TestActivityRedraw:
 
     def test_heavy_use_drives_high_busy(self, fleet):
         agent = fleet.agents[9]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR, heavy=True))
         sim.run_until(100.0 + 95.0)

@@ -195,3 +195,15 @@ class TestValidation:
     def test_tasks_complete(self, outcome):
         assert outcome.tasks_completed > 0
         assert outcome.tasks_completed <= outcome.tasks_total
+
+    def test_polls_see_every_behavioural_event_before_them(self):
+        # Polls run every 5 minutes, between the fleet's 15-minute
+        # behaviour batches; they must read the fleet as of their own
+        # instant.  Polls that read a fleet advanced only to the last
+        # batch see stale state: this seed then counts 696 evictions.
+        out = validate_equivalence(ExperimentConfig(days=3, seed=2005))
+        stats = out.stats
+        assert (stats.evictions, stats.assignments, stats.polls,
+                out.tasks_completed) == (909, 1065, 865, 86)
+        assert out.achieved_ratio == pytest.approx(0.2786443135551477,
+                                                   rel=1e-12)
