@@ -118,9 +118,13 @@ class DdcCoordinator:
         shared latency stream, the fault hooks and the resilience
         control plane evolve exactly as in the sequential run, but for
         foreign machines it only replicates the draws and the elapsed
-        time (see :meth:`_shadow_elapsed`): no probe output is
-        materialised, no sample stored, and no counter incremented.
-        Merged shard accounting therefore sums to the sequential run's.
+        time (see :meth:`_run_pass`): no sample is stored and no counter
+        incremented.  Merged shard accounting therefore sums to the
+        sequential run's.
+    start_offset:
+        Absolute time of the first iteration; iteration ``k`` runs at
+        ``start_offset + k * sample_period``.  Staggers the jobs of a
+        :class:`~repro.ddc.schedule.MultiProbeDdc`.
     """
 
     def __init__(
@@ -136,9 +140,12 @@ class DdcCoordinator:
         faults: Optional[FaultPlan] = None,
         observer: Optional["Observer"] = None,
         owned_labs: Optional[frozenset] = None,
+        start_offset: float = 0.0,
     ):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        if start_offset < 0:
+            raise ValueError("start_offset must be non-negative")
         self.machines: List[SimMachine] = list(machines)
         self.sim = sim
         self.params = params
@@ -146,6 +153,7 @@ class DdcCoordinator:
         self.post_collect = post_collect
         self.rng = rng
         self.horizon = float(horizon)
+        self.start_offset = float(start_offset)
         self.faults = faults if faults is not None and not faults.empty else None
         self.owned_labs = (frozenset(owned_labs) if owned_labs is not None
                            else None)
@@ -176,7 +184,8 @@ class DdcCoordinator:
             owned_labs=self.owned_labs,
         )
         #: Resilience control plane; ``None`` (no policy on ``params``)
-        #: keeps the classic pass with bit-identical traces -- the same
+        #: makes no control-plane call in :meth:`_run_pass`, so traces
+        #: stay bit-identical to a policy-free build -- the same
         #: drop-at-construction contract as ``faults`` and ``observer``.
         self.resilience: Optional[ResilienceControl] = None
         if params.resilience is not None:
@@ -237,7 +246,8 @@ class DdcCoordinator:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(0.0, self._iteration, 0, name="ddc_iter")
+        self.sim.schedule(self.start_offset, self._iteration, 0,
+                          name="ddc_iter")
 
     def _iteration(self, k: int) -> None:
         start = self.sim.now
@@ -251,12 +261,8 @@ class DdcCoordinator:
         elif self.rng.random() < self.params.coordinator_availability:
             self.iterations_run += 1
             ran = True
-            if self.resilience is not None:
-                run_pass = self._run_pass_resilient
-            elif self._cols is not None:
-                run_pass = self._run_pass_columnar
-            else:
-                run_pass = self._run_pass
+            run_pass = (self._run_pass if self._cols is None
+                        else self._run_pass_columnar)
             if obs is not None:
                 with obs.span("ddc.iteration", iteration=k) as span:
                     elapsed = run_pass(k, start)
@@ -268,7 +274,7 @@ class DdcCoordinator:
             self.iteration_durations.append(elapsed)
         elif obs is not None:
             self._c_iter_lost.inc()
-        nxt = (k + 1) * self.params.sample_period
+        nxt = self.start_offset + (k + 1) * self.params.sample_period
         if nxt < self.horizon:
             self.sim.schedule(nxt, self._iteration, k + 1, name="ddc_iter")
         if self.recovery is not None:
@@ -310,16 +316,20 @@ class DdcCoordinator:
             li.retries_skipped.inc()
 
     def _execute_with_retry(
-        self, machine: SimMachine, start: float, count: bool = True
+        self, machine: SimMachine, start: float, count: bool = True,
+        shadow: bool = False,
     ) -> "tuple[RemoteOutcome, float]":
         """One attempt plus bounded retries; returns (outcome, elapsed).
 
         ``count=False`` replicates a foreign machine's execution (same
-        draws, same elapsed time) without touching the retry counters --
-        the owning shard accounts it.
+        draws, same elapsed time, same control-plane evidence) without
+        touching the retry counters -- the owning shard accounts it.
+        ``shadow`` additionally skips running the probe itself (see
+        :meth:`~repro.ddc.remote.RemoteExecutor.execute`).
         """
+        rc = self.resilience
         outcome = self.executor.execute(
-            machine, self.probe, start, self.credentials
+            machine, self.probe, start, self.credentials, rc, _shadow=shadow
         )
         elapsed = outcome.elapsed
         if outcome.ok or self.params.retry_limit == 0:
@@ -338,7 +348,8 @@ class DdcCoordinator:
                     li.retries.inc()
             elapsed += backoff
             outcome = self.executor.execute(
-                machine, self.probe, start + elapsed, self.credentials
+                machine, self.probe, start + elapsed, self.credentials, rc,
+                _shadow=shadow,
             )
             elapsed += outcome.elapsed
             backoff *= 2.0
@@ -351,7 +362,24 @@ class DdcCoordinator:
         return outcome, elapsed
 
     def _run_pass(self, k: int, start: float) -> float:
-        """One sequential pass over the roster; returns its duration."""
+        """One sequential pass over the roster; returns its duration.
+
+        With the resilience control plane attached, each machine first
+        passes through :meth:`~repro.resilience.control.ResilienceControl
+        .admit` (circuit breaker, load shedder) and every executor call
+        feeds health/latency evidence back.  Skipped machines are fully
+        accounted: ``iterations_run * n_machines == attempts + shed +
+        breaker_skipped`` holds at all times.
+
+        Foreign machines of a shard coordinator run the same attempt and
+        retry loop unaccounted.  Without fault hooks (which see the
+        machine object and draw from the plan's own streams in roster
+        order) a probe with a fixed ``shadow_cost_seconds`` is not even
+        run: its cost is charged after the same draws.
+        """
+        rc = self.resilience
+        if rc is not None:
+            rc.begin_pass(k, start)
         observing = self._obs is not None
         owned = self.owned_labs
         shadow = self.faults is None and self._shadow_cost is not None
@@ -370,45 +398,37 @@ class DdcCoordinator:
                 mine = owned is None or current_lab in owned
                 li = self._lab(current_lab) if observing and mine else None
                 lab_start = cursor
-            if mine:
-                outcome, elapsed = self._execute_with_retry(machine, cursor)
-                self.attempts += 1
-                cursor += elapsed
-                self._account_outcome(machine, outcome, cursor, k, li)
-            elif shadow:
-                cursor += self._shadow_elapsed(machine, cursor)
-            else:
-                # Fault hooks see the machine object and draw from the
-                # plan's own streams in roster order, so a foreign machine
-                # must really execute -- just unaccounted.
+            if rc is not None:
+                verdict = rc.admit(machine.spec.machine_id, cursor)
+                if verdict != PROBE:
+                    if mine:
+                        if verdict == SHED:
+                            self._shed += 1
+                        else:
+                            self._breaker_skipped += 1
+                    continue
+            if not mine:
                 _, elapsed = self._execute_with_retry(
-                    machine, cursor, count=False
+                    machine, cursor, count=False, shadow=shadow
                 )
                 cursor += elapsed
+                continue
+            if rc is None:
+                outcome, elapsed = self._execute_with_retry(machine, cursor)
+            else:
+                # Hedge dispatches happen inside the executor (retries
+                # included); the before/after delta attributes them to
+                # this owned machine.
+                h0, w0 = rc.hedges, rc.hedge_wins
+                outcome, elapsed = self._execute_with_retry(machine, cursor)
+                self._hedges += rc.hedges - h0
+                self._hedge_wins += rc.hedge_wins - w0
+            self.attempts += 1
+            cursor += elapsed
+            self._account_outcome(machine, outcome, cursor, k, li)
         if li is not None:
             li.pass_seconds.observe(cursor - lab_start)
         return cursor - start
-
-    def _shadow_elapsed(self, machine: SimMachine, start: float) -> float:
-        """Elapsed time of a foreign machine's attempt, draws replicated.
-
-        Mirrors :meth:`_execute_with_retry` exactly for the fault-free
-        case: an off machine costs ``off_timeout`` per attempt and draws
-        nothing; a powered machine costs one shared-stream latency draw
-        plus the probe's fixed ``shadow_cost_seconds``.  The coordinator
-        authenticates with the executor's own credentials, so the access
-        checks cannot fail and no other path exists.
-        """
-        ex = self.executor
-        if not machine.powered:
-            elapsed = ex.off_timeout
-            if self.params.retry_limit and self.params.retry_unreachable:
-                backoff = self.params.retry_backoff
-                for _ in range(self.params.retry_limit):
-                    elapsed += backoff + ex.off_timeout
-                    backoff *= 2.0
-            return elapsed
-        return ex.draw_latency() + self._shadow_cost
 
     def _account_outcome(
         self,
@@ -625,156 +645,6 @@ class DdcCoordinator:
                     meta.statics[int(cols.machine_id[j])] = cols.static_info(j)
                 self._registered[fresh] = True
         return duration
-
-    # -- resilient variants (policy attached) --------------------------
-    def _execute_with_retry_resilient(
-        self, machine: SimMachine, start: float, rc: ResilienceControl,
-        count: bool = True,
-    ) -> "tuple[RemoteOutcome, float]":
-        """:meth:`_execute_with_retry` against the resilient executor.
-
-        Health/latency evidence is fed to the control plane inside
-        :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`
-        itself (once per attempt, retries included).  ``count=False``
-        replicates a foreign machine's attempts -- evidence still flows
-        to the (replicated) control plane, counters stay untouched.
-        """
-        outcome = self.executor.execute_resilient(
-            machine, self.probe, start, self.credentials, rc
-        )
-        elapsed = outcome.elapsed
-        if outcome.ok or self.params.retry_limit == 0:
-            return outcome, elapsed
-        backoff = self.params.retry_backoff
-        li = (self._lab(machine.spec.lab)
-              if count and self._obs is not None else None)
-        for _ in range(self.params.retry_limit):
-            if not self._retryable(outcome.error):
-                if count:
-                    self._skip_retry(li)
-                break
-            if count:
-                self.retries += 1
-                if li is not None:
-                    li.retries.inc()
-            elapsed += backoff
-            outcome = self.executor.execute_resilient(
-                machine, self.probe, start + elapsed, self.credentials, rc
-            )
-            elapsed += outcome.elapsed
-            backoff *= 2.0
-            if outcome.ok:
-                if count:
-                    self.retries_recovered += 1
-                    if li is not None:
-                        li.retries_recovered.inc()
-                break
-        return outcome, elapsed
-
-    def _run_pass_resilient(self, k: int, start: float) -> float:
-        """One roster pass with the resilience control plane engaged.
-
-        Identical to :meth:`_run_pass` except that each machine first
-        passes through :meth:`~repro.resilience.control.ResilienceControl
-        .admit` (circuit breaker, load shedder) and every executor call
-        feeds health/latency evidence back.  Skipped machines are fully
-        accounted: ``iterations_run * n_machines == attempts + shed +
-        breaker_skipped`` holds at all times.
-        """
-        rc = self.resilience
-        rc.begin_pass(k, start)
-        observing = self._obs is not None
-        owned = self.owned_labs
-        shadow = self.faults is None and self._shadow_cost is not None
-        cursor = start
-        lab_start = start
-        current_lab: Optional[str] = None
-        li: Optional[_LabInstruments] = None
-        mine = True
-        for machine in self.machines:
-            if machine.spec.lab != current_lab:
-                if li is not None:
-                    li.pass_seconds.observe(cursor - lab_start)
-                current_lab = machine.spec.lab
-                mine = owned is None or current_lab in owned
-                li = self._lab(current_lab) if observing and mine else None
-                lab_start = cursor
-            verdict = rc.admit(machine.spec.machine_id, cursor)
-            if verdict != PROBE:
-                if mine:
-                    if verdict == SHED:
-                        self._shed += 1
-                    else:
-                        self._breaker_skipped += 1
-                continue
-            if mine:
-                # Hedge dispatches happen inside the executor (retries
-                # included); the before/after delta attributes them to
-                # this owned machine.
-                h0, w0 = rc.hedges, rc.hedge_wins
-                outcome, elapsed = self._execute_with_retry_resilient(
-                    machine, cursor, rc
-                )
-                self._hedges += rc.hedges - h0
-                self._hedge_wins += rc.hedge_wins - w0
-                self.attempts += 1
-                cursor += elapsed
-                self._account_outcome(machine, outcome, cursor, k, li)
-            elif shadow:
-                cursor += self._shadow_elapsed_resilient(machine, cursor, rc)
-            else:
-                _, elapsed = self._execute_with_retry_resilient(
-                    machine, cursor, rc, count=False
-                )
-                cursor += elapsed
-        if li is not None:
-            li.pass_seconds.observe(cursor - lab_start)
-        return cursor - start
-
-    def _shadow_elapsed_resilient(
-        self, machine: SimMachine, start: float, rc: ResilienceControl
-    ) -> float:
-        """Resilient-path twin of :meth:`_shadow_elapsed`.
-
-        The control plane is replicated in every shard, so a foreign
-        machine's evidence (:meth:`~repro.resilience.control
-        .ResilienceControl.observe`), fast-fail cuts and hedge-budget
-        consumption must happen exactly as inside
-        :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`; only
-        the probe run and the accounting are skipped.
-        """
-        ex = self.executor
-        spec = machine.spec
-
-        if not machine.powered:
-            def attempt(now: float) -> float:
-                cost = ex.off_timeout
-                deadline = rc.pass_deadline[spec.lab]
-                if deadline is not None and deadline < cost:
-                    rc.note_fastfail_cut()
-                    rc.observe(spec.machine_id, now + deadline, False, None)
-                    return deadline
-                rc.observe(spec.machine_id, now + cost, False, None)
-                return cost
-
-            elapsed = attempt(start)
-            if self.params.retry_limit and self.params.retry_unreachable:
-                backoff = self.params.retry_backoff
-                for _ in range(self.params.retry_limit):
-                    elapsed += backoff
-                    elapsed += attempt(start + elapsed)
-                    backoff *= 2.0
-            return elapsed
-        primary = ex.draw_latency()
-        latency = primary
-        threshold = rc.pass_hedge[spec.lab]
-        if threshold is not None and primary > threshold and rc.take_hedge():
-            duplicate = rc.draw_hedge_latency(*ex.latency_range)
-            hedge_won = threshold + duplicate < primary
-            latency = min(primary, threshold + duplicate)
-            rc.note_hedge(hedge_won)
-        rc.observe(spec.machine_id, start + latency, True, primary)
-        return latency + self._shadow_cost
 
     # ------------------------------------------------------------------
     def progress(self) -> dict:

@@ -16,6 +16,10 @@ machines:
 - wrong credentials -> :class:`~repro.errors.AccessDenied`,
 - success -> the probe's :class:`~repro.ddc.probe.ProbeResult` plus the
   elapsed wall time (connection latency + service start + probe runtime).
+
+An optional :class:`~repro.resilience.control.ResilienceControl` passed
+to :meth:`RemoteExecutor.execute` adds the adaptive fast-fail deadline
+and hedged probes on top of those semantics.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
     from repro.resilience.control import ResilienceControl
 
-__all__ = ["Credentials", "RemoteOutcome", "ResilientOutcome",
-           "RemoteExecutor"]
+__all__ = ["Credentials", "RemoteOutcome", "RemoteExecutor"]
 
 
 @dataclass(frozen=True)
@@ -98,39 +101,10 @@ class RemoteOutcome:
         """Whether a probe result was obtained."""
         return self.result is not None and self.result.ok
 
-    # Resilience annotation defaults.  Deliberately *unannotated* class
-    # attributes (so they are not dataclass fields): the resilient
-    # executor returns a plain, cheap RemoteOutcome on its fast paths
-    # (unhedged success, uncut timeout) and callers still read the
-    # annotations uniformly.
-    latency = None
-    hedged = False
-    hedge_won = False
-    fastfail_cut = False
 
-
-@dataclass(frozen=True)
-class ResilientOutcome(RemoteOutcome):
-    """A :class:`RemoteOutcome` annotated by the resilience control plane.
-
-    Attributes
-    ----------
-    latency:
-        The *primary* connect latency on live machines (pre-hedge), the
-        observation fed to the per-lab quantile trackers; ``None`` for
-        unreachable fast-fails.
-    hedged / hedge_won:
-        Whether a duplicate probe was dispatched for this attempt, and
-        whether the duplicate finished first.
-    fastfail_cut:
-        Whether the unreachable timeout was cut short by the lab's
-        adaptive deadline (``elapsed < off_timeout``).
-    """
-
-    latency: Optional[float] = None
-    hedged: bool = False
-    hedge_won: bool = False
-    fastfail_cut: bool = False
+#: Stand-in result of a shadowed (not run) probe: it is never parsed, it
+#: only marks the attempt successful so the retry loop stops as it would.
+_SHADOW_RESULT = ProbeResult(stdout="")
 
 
 class RemoteExecutor:
@@ -188,26 +162,6 @@ class RemoteExecutor:
         self._owned_labs = owned_labs
         self._lat_hists: dict = {}
 
-    # -- shard-shadow helpers (see DdcCoordinator._shadow_elapsed) ------
-    @property
-    def latency_range(self) -> Tuple[float, float]:
-        """The ``(lo, hi)`` live-execution latency bounds."""
-        return self._latency
-
-    @property
-    def off_timeout(self) -> float:
-        """Seconds one unreachable fast-fail costs."""
-        return self._off_timeout
-
-    def draw_latency(self) -> float:
-        """One latency draw from the shared stream (no other effects).
-
-        Exactly the draw :meth:`execute` performs for a powered machine;
-        shard coordinators use it to keep the stream position aligned
-        while skipping a foreign machine's probe.
-        """
-        return float(self._rng.uniform(*self._latency))
-
     def _observes(self, lab: str) -> bool:
         """Whether this executor accounts executions of ``lab``."""
         return (self._obs is not None
@@ -231,38 +185,81 @@ class RemoteExecutor:
         probe: Probe,
         now: float,
         credentials: Credentials,
+        control: Optional["ResilienceControl"] = None,
+        *,
+        _shadow: bool = False,
     ) -> RemoteOutcome:
-        """Attempt to run ``probe`` on ``machine`` at time ``now``."""
+        """Attempt to run ``probe`` on ``machine`` at time ``now``.
+
+        With a resilience ``control`` plane attached, two latency-only
+        deltas apply (the probe and the failure taxonomy are untouched):
+
+        - an unreachable machine fast-fails after
+          ``min(off_timeout, lab deadline)`` -- live probes are never
+          cut, so no sample is ever lost to the adaptive deadline;
+        - when the primary connect latency exceeds the lab's hedge
+          threshold, a seeded duplicate is dispatched at the threshold
+          instant and the first arrival wins, so the effective latency
+          is ``min(primary, threshold + duplicate)``.
+
+        Every attempt then feeds its evidence to
+        :meth:`~repro.resilience.control.ResilienceControl.observe`: a
+        denial or garbled output still proves the machine answers the
+        network, so only an unreachable timeout counts against its
+        health.  The deadline and hedge threshold are the control
+        plane's pass-frozen ``pass_deadline`` / ``pass_hedge`` values.
+        Without ``control`` none of this runs and no extra draw is made.
+
+        ``_shadow`` is the shard coordinator's foreign-machine mode for a
+        fault-free run and a probe declaring ``shadow_cost_seconds``:
+        every draw, check and control-plane call happens as above, but
+        the probe does not run -- its fixed cost is charged instead.
+        """
         faults = self._faults
-        if faults is not None and faults.unreachable(now, machine):
+        spec = machine.spec
+        partitioned = faults is not None and faults.unreachable(now, machine)
+        if partitioned or not machine.powered:
             # A dead switch looks exactly like a dead PC from here: the
             # coordinator pays the same fast-fail timeout.
+            elapsed = self._off_timeout
+            if control is not None:
+                deadline = control.pass_deadline[spec.lab]
+                if deadline is not None and deadline < elapsed:
+                    control.note_fastfail_cut()
+                    elapsed = deadline
+                control.observe(spec.machine_id, now + elapsed, False, None)
+            cause = " (partition)" if partitioned else ""
             return RemoteOutcome(
                 result=None,
-                elapsed=self._off_timeout,
+                elapsed=elapsed,
                 error=MachineUnreachable(
-                    f"{machine.spec.hostname}: no route to host (partition)"
+                    f"{spec.hostname}: no route to host{cause}"
                 ),
             )
-        if not machine.powered:
-            return RemoteOutcome(
-                result=None,
-                elapsed=self._off_timeout,
-                error=MachineUnreachable(
-                    f"{machine.spec.hostname}: no route to host"
-                ),
-            )
-        latency = float(self._rng.uniform(*self._latency))
+        primary = latency = float(self._rng.uniform(*self._latency))
         if faults is not None:
-            latency *= faults.latency_factor(now, machine)
-        if self._obs is not None and self._observes(machine.spec.lab):
-            self._latency_hist(machine.spec.lab).observe(latency)
+            primary = latency = latency * faults.latency_factor(now, machine)
+        if control is not None:
+            threshold = control.pass_hedge[spec.lab]
+            if (threshold is not None and primary > threshold
+                    and control.take_hedge()):
+                # The duplicate is dispatched the moment the primary is
+                # known slow (the threshold instant) and races it on a
+                # fresh connection, so it does not inherit the transient
+                # stall inflating the primary.
+                duplicate = control.draw_hedge_latency(*self._latency)
+                control.note_hedge(threshold + duplicate < primary)
+                latency = min(primary, threshold + duplicate)
+        if self._obs is not None and self._observes(spec.lab):
+            self._latency_hist(spec.lab).observe(latency)
+        if control is not None:
+            control.observe(spec.machine_id, now + latency, True, primary)
         if not credentials.matches(self._admin):
             return RemoteOutcome(
                 result=None,
                 elapsed=latency,
                 error=AccessDenied(
-                    f"{machine.spec.hostname}: logon failure for "
+                    f"{spec.hostname}: logon failure for "
                     f"{credentials.username!r}"
                 ),
             )
@@ -271,11 +268,14 @@ class RemoteExecutor:
                 result=None,
                 elapsed=latency,
                 error=AccessDenied(
-                    f"{machine.spec.hostname}: transient logon failure for "
+                    f"{spec.hostname}: transient logon failure for "
                     f"{credentials.username!r}",
                     transient=True,
                 ),
             )
+        if _shadow:
+            return RemoteOutcome(result=_SHADOW_RESULT,
+                                 elapsed=latency + probe.shadow_cost_seconds)
         api = Win32Api(machine)
         # The probe observes the machine at the instant it actually runs,
         # i.e. after the remote-execution latency has elapsed.
@@ -286,115 +286,3 @@ class RemoteExecutor:
             if corrupted is not None:
                 result = dataclasses.replace(result, stdout=corrupted)
         return RemoteOutcome(result=result, elapsed=latency + result.cpu_seconds)
-
-    def execute_resilient(
-        self,
-        machine: SimMachine,
-        probe: Probe,
-        now: float,
-        credentials: Credentials,
-        control: "ResilienceControl",
-    ) -> RemoteOutcome:
-        """:meth:`execute` with the resilience control plane engaged.
-
-        Two behavioural deltas, both latency-only (the probe itself and
-        the failure taxonomy are untouched):
-
-        - an unreachable machine fast-fails after
-          ``min(off_timeout, lab deadline)`` instead of the fixed
-          ``off_timeout`` -- live probes are never cut, so no sample is
-          ever lost to the adaptive deadline;
-        - when the primary connect latency exceeds the lab's hedge
-          threshold, a seeded duplicate probe is dispatched at the
-          threshold instant and the first arrival wins, so the
-          effective latency is ``min(primary, threshold + duplicate)``.
-
-        Every attempt also feeds its evidence straight into
-        :meth:`~repro.resilience.control.ResilienceControl.observe`: a
-        denial or garbled output still proves the machine answers the
-        network, so only an unreachable timeout counts against its
-        health and breaker.  The deadline and hedge threshold come from
-        the control plane's pass-frozen ``pass_deadline`` /
-        ``pass_hedge`` dicts (recomputed each ``begin_pass``), keeping
-        this path within the control plane's overhead budget.
-
-        Kept separate from :meth:`execute` so the policy-off hot path
-        stays byte-for-byte identical to pre-resilience builds.
-        """
-        faults = self._faults
-        spec = machine.spec
-        lab = spec.lab
-        unreachable = (
-            faults is not None and faults.unreachable(now, machine)
-        ) or not machine.powered
-        if unreachable:
-            elapsed = self._off_timeout
-            deadline = control.pass_deadline[lab]
-            error = MachineUnreachable(f"{spec.hostname}: no route to host")
-            if deadline is not None and deadline < elapsed:
-                control.note_fastfail_cut()
-                control.observe(spec.machine_id, now + deadline, False, None)
-                return ResilientOutcome(
-                    result=None, elapsed=deadline, error=error,
-                    fastfail_cut=True,
-                )
-            control.observe(spec.machine_id, now + elapsed, False, None)
-            # un-annotated fast path: class-attribute defaults cover the
-            # resilience annotations (fastfail_cut is False here)
-            return RemoteOutcome(result=None, elapsed=elapsed, error=error)
-        primary = float(self._rng.uniform(*self._latency))
-        if faults is not None:
-            primary *= faults.latency_factor(now, machine)
-        latency = primary
-        hedged = hedge_won = False
-        threshold = control.pass_hedge[lab]
-        if threshold is not None and primary > threshold and control.take_hedge():
-            # The duplicate is dispatched the moment the primary is known
-            # slow (the threshold instant) and races it.  It rides a fresh
-            # connection, so it does not inherit the transient stall that
-            # is inflating the primary -- that is what makes hedging win.
-            duplicate = control.draw_hedge_latency(*self._latency)
-            hedged = True
-            hedge_won = threshold + duplicate < primary
-            latency = min(primary, threshold + duplicate)
-            control.note_hedge(hedge_won)
-        if self._obs is not None and self._observes(lab):
-            self._latency_hist(lab).observe(latency)
-        control.observe(spec.machine_id, now + latency, True, primary)
-        if not credentials.matches(self._admin):
-            return ResilientOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{spec.hostname}: logon failure for "
-                    f"{credentials.username!r}"
-                ),
-                latency=primary, hedged=hedged, hedge_won=hedge_won,
-            )
-        if faults is not None and faults.denies_access(now, machine):
-            return ResilientOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{spec.hostname}: transient logon failure for "
-                    f"{credentials.username!r}",
-                    transient=True,
-                ),
-                latency=primary, hedged=hedged, hedge_won=hedge_won,
-            )
-        api = Win32Api(machine)
-        exec_time = now + latency
-        result = probe.run(api, exec_time)
-        if faults is not None:
-            corrupted = faults.corrupt_stdout(exec_time, machine, result.stdout)
-            if corrupted is not None:
-                result = dataclasses.replace(result, stdout=corrupted)
-        if hedged:
-            return ResilientOutcome(
-                result=result,
-                elapsed=latency + result.cpu_seconds,
-                latency=primary, hedged=True, hedge_won=hedge_won,
-            )
-        # un-annotated fast path (the common case: live, no hedge)
-        return RemoteOutcome(result=result,
-                             elapsed=latency + result.cpu_seconds)

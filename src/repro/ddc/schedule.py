@@ -61,31 +61,6 @@ class ProbeJob:
             raise ReproError(f"job {self.name!r}: offset must be non-negative")
 
 
-class _OffsetCoordinator(DdcCoordinator):
-    """Coordinator whose first iteration fires at a configurable offset."""
-
-    def __init__(self, *args, start_offset: float = 0.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._offset = float(start_offset)
-
-    def start(self) -> None:  # noqa: D102 - inherited semantics
-        if self._started:
-            return
-        self._started = True
-        self.sim.schedule(self.sim.now + self._offset, self._iteration, 0,
-                          name="ddc_iter")
-
-    def _iteration(self, k: int) -> None:
-        start = self.sim.now
-        self.iterations_scheduled += 1
-        if self.rng.random() < self.params.coordinator_availability:
-            self.iterations_run += 1
-            self.iteration_durations.append(self._run_pass(k, start))
-        nxt = self._offset + (k + 1) * self.params.sample_period
-        if nxt < self.horizon:
-            self.sim.schedule(nxt, self._iteration, k + 1, name="ddc_iter")
-
-
 class MultiProbeDdc:
     """Run several probe schedules over one machine roster.
 
@@ -97,7 +72,8 @@ class MultiProbeDdc:
         The probe schedules.  Job names must be unique.
     base_params:
         Template :class:`~repro.config.DdcParams`; each job clones it
-        with its own period.
+        with its own period and keeps every other setting (retries, the
+        resilience policy).
     streams:
         RNG factory for per-job coordinator noise.
     """
@@ -125,7 +101,7 @@ class MultiProbeDdc:
 
         for job in self.jobs:
             params = dataclasses.replace(base, sample_period=job.period)
-            self.coordinators[job.name] = _OffsetCoordinator(
+            self.coordinators[job.name] = DdcCoordinator(
                 machines,
                 sim,
                 params,

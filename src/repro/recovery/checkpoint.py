@@ -12,7 +12,7 @@ File format (``ckpt-00000123.ckpt``)
 ------------------------------------
 Line 1 is a JSON header::
 
-    {"v": 1, "iteration": 123, "sim_now": 110700.0,
+    {"v": 2, "iteration": 123, "sim_now": 110700.0,
      "config": "<sha256 of the run config>", "payload_len": N,
      "payload_crc": "xxxxxxxx"}
 
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Checkpoint schema version (bumped on incompatible state changes).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _CKPT_FMT = "ckpt-{:08d}.ckpt"
 

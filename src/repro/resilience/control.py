@@ -13,14 +13,14 @@ against the iteration budget.
 Hook points
 -----------
 - the coordinator calls :meth:`begin_pass` once per iteration, then
-  :meth:`admit` per machine (probe / breaker-skip / shed) and
-  :meth:`observe` per executor call;
-- the executor reads the pass-frozen ``pass_deadline`` / ``pass_hedge``
-  dicts and calls :meth:`observe`, :meth:`take_hedge` and
-  :meth:`draw_hedge_latency` inside
-  :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`.  Both
-  dicts are recomputed once per :meth:`begin_pass`: control values
-  change between iterations, never inside one.
+  :meth:`admit` per machine (probe / breaker-skip / shed);
+- the executor, handed this object as ``control=``, reads the
+  pass-frozen ``pass_deadline`` / ``pass_hedge`` dicts and calls
+  :meth:`observe` once per attempt, plus :meth:`take_hedge` and
+  :meth:`draw_hedge_latency` for a slow primary, inside
+  :meth:`~repro.ddc.remote.RemoteExecutor.execute`.  Both dicts are
+  recomputed once per :meth:`begin_pass`: control values change
+  between iterations, never inside one.
 
 Determinism
 -----------

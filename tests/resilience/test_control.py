@@ -288,61 +288,82 @@ class TestExecuteResilient:
         c.begin_pass(0, 0.0)
         return c
 
+    @staticmethod
+    def primaries(c):
+        """Record the primary latency each executor call reports."""
+        seen = []
+        observe = c.observe
+
+        def recorder(machine_id, t, reachable, latency=None):
+            seen.append(latency)
+            observe(machine_id, t, reachable, latency)
+
+        c.observe = recorder
+        return seen
+
     def test_fastfail_cut_by_adaptive_deadline(self):
         c = self.warmed_control(latency=0.5)
-        out = self.executor().execute_resilient(
-            self.machine, W32Probe(), 1000.0, self.admin, c)
+        assert c.fastfail_cuts == 0
+        out = self.executor().execute(
+            self.machine, W32Probe(), 1000.0, self.admin, control=c)
         assert isinstance(out.error, MachineUnreachable)
-        assert out.fastfail_cut
         assert out.elapsed == c.deadline(self.lab) < 1.5
         assert c.fastfail_cuts == 1
 
     def test_no_cut_during_warmup(self):
         c = make_control(roster=[(self.mid, self.lab)])
-        out = self.executor().execute_resilient(
-            self.machine, W32Probe(), 0.0, self.admin, c)
-        assert not out.fastfail_cut
+        out = self.executor().execute(
+            self.machine, W32Probe(), 0.0, self.admin, control=c)
+        assert c.fastfail_cuts == 0
         assert out.elapsed == 1.5  # policy-off cost, exactly
 
     def test_deadline_never_cuts_live_probes(self):
         # a live machine with latency above the lab deadline still
         # completes: the deadline applies only to the unreachable path
         c = self.warmed_control(latency=0.1)  # deadline clamps to 0.3
+        seen = self.primaries(c)
         self.machine.boot(0.0)
         plan = FaultPlan([SlowMachines(fraction=1.0, factor=6.0)], seed=0)
-        out = self.executor(faults=plan).execute_resilient(
-            self.machine, W32Probe(), 10.0, self.admin, c)
+        out = self.executor(faults=plan).execute(
+            self.machine, W32Probe(), 10.0, self.admin, control=c)
         assert out.ok
-        assert out.latency > c.deadline(self.lab)
+        assert c.fastfail_cuts == 0
+        assert seen[-1] > c.deadline(self.lab)
 
     def test_hedge_races_the_slow_primary(self):
         c = self.warmed_control(latency=0.5)
+        seen = self.primaries(c)
         self.machine.boot(0.0)
         plan = FaultPlan([SlowMachines(fraction=1.0, factor=6.0)], seed=0)
         ex = self.executor(faults=plan)
-        outs = [ex.execute_resilient(self.machine, W32Probe(), 10.0 + k,
-                                     self.admin, c) for k in range(10)]
-        assert all(o.ok for o in outs)
-        hedged = [o for o in outs if o.hedged]
+        calls = []  # (outcome, hedged, hedge won, primary latency)
+        for k in range(10):
+            h0, w0 = c.hedges, c.hedge_wins
+            out = ex.execute(self.machine, W32Probe(), 10.0 + k,
+                             self.admin, control=c)
+            calls.append((out, c.hedges - h0, c.hedge_wins - w0, seen[-1]))
+        assert all(out.ok for out, *_ in calls)
+        assert all(h in (0, 1) and w <= h for _, h, w, _ in calls)
+        hedged = [(out, primary) for out, h, _, primary in calls if h]
         assert hedged, "6x-inflated primaries must cross the hedge threshold"
         assert c.hedges == len(hedged)
-        assert c.hedge_wins == sum(o.hedge_won for o in outs) > 0
-        for o in hedged:
+        assert c.hedge_wins == sum(w for _, _, w, _ in calls) > 0
+        for out, primary in hedged:
             # the primary latency is reported pre-hedge; the elapsed cost
             # can only have been improved by the duplicate
-            assert o.latency >= 1.2  # 0.2 * factor 6
-            assert o.elapsed <= o.latency + 1.0  # latency + probe cpu
+            assert primary >= 1.2  # 0.2 * factor 6
+            assert out.elapsed <= primary + 1.0  # latency + probe cpu
 
     def test_storm_denial_is_transient_credential_mismatch_is_not(self):
         self.machine.boot(0.0)
         c = make_control(roster=[(self.mid, self.lab)])
         storm = FaultPlan([AccessDeniedStorm(probability=1.0)], seed=0)
-        out = self.executor(faults=storm).execute_resilient(
-            self.machine, W32Probe(), 10.0, self.admin, c)
+        out = self.executor(faults=storm).execute(
+            self.machine, W32Probe(), 10.0, self.admin, control=c)
         assert isinstance(out.error, AccessDenied) and out.error.transient
         bad = Credentials.create("DDC\\collector", "wrong")
-        out = self.executor().execute_resilient(
-            self.machine, W32Probe(), 10.0, bad, c)
+        out = self.executor().execute(
+            self.machine, W32Probe(), 10.0, bad, control=c)
         assert isinstance(out.error, AccessDenied) and not out.error.transient
 
 

@@ -67,35 +67,47 @@ class TestPlainEquivalence:
 
 
 class TestFaultResilienceEquivalence:
-    """The hard case: fault hooks and the control plane both engaged."""
+    """The hard case: the control plane engaged, with and without faults.
 
-    def make(self):
+    With a fault plan a shard fully executes its foreign machines (the
+    plan's hooks draw in roster order); without one it shadows them --
+    the probe is skipped but every latency draw, control-plane decision
+    and piece of evidence is replayed.  Both must merge byte-identically.
+    """
+
+    def make(self, faulty):
         cfg = ExperimentConfig(days=1, seed=17)
         cfg = cfg.replace(ddc=dataclasses.replace(
             cfg.ddc, resilience=ResiliencePolicy(), retry_limit=2))
-        return cfg, paper_like_plan(cfg.horizon, labs=("L03",), seed=99)
+        plan = (paper_like_plan(cfg.horizon, labs=("L03",), seed=99)
+                if faulty else None)
+        return cfg, plan
 
-    def test_two_shards_with_faults_and_resilience(self, tmp_path):
-        cfg, plan = self.make()
+    @pytest.mark.parametrize("faulty", [True, False],
+                             ids=["paper_like_plan", "fault_free"])
+    def test_two_shards_with_faults_and_resilience(self, faulty, tmp_path):
+        cfg, plan = self.make(faulty)
         seq = run_experiment(cfg, faults=plan, strict_postcollect=False,
                              observer=Observer())
         seq_csv = csv_bytes(seq.store, tmp_path / "seq.csv")
         assert seq.meta.shed + seq.meta.breaker_skipped > 0
-        assert seq.meta.retries > 0
+        assert (seq.meta.retries > 0) == faulty
 
-        cfg2, plan2 = self.make()
+        cfg2, plan2 = self.make(faulty)
         sharded = run_experiment(cfg2, faults=plan2, strict_postcollect=False,
                                  observer=Observer(), shards=2)
         assert csv_bytes(sharded.store, tmp_path / "sh2.csv") == seq_csv
         # resilience accounting identity reconciles on the merged meta
         m = sharded.meta
+        assert m.shed + m.breaker_skipped > 0
         assert (m.iterations_run * m.n_machines
                 == m.attempts + m.shed + m.breaker_skipped)
         for name in ("shed", "breaker_skipped", "hedges", "hedge_wins",
                      "retries", "retries_recovered", "retries_skipped"):
             assert getattr(m, name) == getattr(seq.meta, name), name
-        # the fault plans replayed identically and the ledger survives
-        assert dict(sharded.faults.injected) == dict(plan.injected)
+        if faulty:
+            # the fault plans replayed identically and the ledger survives
+            assert dict(sharded.faults.injected) == dict(plan.injected)
         # merged snapshot sums the owned-gated metrics back to sequential
         snap_seq = seq.observer.snapshot()
         snap = sharded.obs_snapshot

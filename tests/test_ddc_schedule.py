@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import DdcParams
+from repro.ddc.coordinator import DdcCoordinator
 from repro.ddc.nbenchprobe import NBenchProbe, parse_nbench_output
 from repro.ddc.postcollect import SamplePostCollector
 from repro.ddc.schedule import MultiProbeDdc, ProbeJob
@@ -10,6 +12,7 @@ from repro.errors import ReproError
 from repro.machines.hardware import build_fleet
 from repro.machines.machine import SimMachine
 from repro.machines.smart import SmartDisk
+from repro.resilience.policy import ResiliencePolicy
 from repro.sim.calendar import DAY, HOUR
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -126,3 +129,51 @@ def test_start_is_idempotent():
     multi.start()
     sim.run_until(3600.0)
     assert multi.coordinator("monitor").iterations_scheduled == 4
+
+
+def test_jobs_honour_the_resilience_policy():
+    """A single-job schedule probes exactly like a lone coordinator.
+
+    Half the roster is powered off, so the control plane's breakers
+    open and its fast-fail deadline cuts timeouts; the job must see the
+    same admissions, cuts and samples as a plain coordinator on the same
+    stream.
+    """
+    params = DdcParams(resilience=ResiliencePolicy())
+
+    def roster():
+        machines = _machines(n=8, boot=False)
+        for m in machines[::2]:
+            m.boot(0.0)
+        return machines
+
+    def store():
+        return TraceStore(TraceMeta(n_machines=8, sample_period=900.0,
+                                    horizon=DAY))
+
+    sim = Simulator()
+    multi_store = store()
+    multi = MultiProbeDdc(
+        roster(), sim,
+        [ProbeJob("monitor", W32Probe(), SamplePostCollector(multi_store),
+                  period=900.0)],
+        horizon=DAY, base_params=params, streams=RandomStreams(5))
+    multi.start()
+    sim.run_until(DAY)
+    job = multi.coordinator("monitor")
+
+    sim = Simulator()
+    lone_store = store()
+    lone = DdcCoordinator(roster(), sim, params, W32Probe(),
+                          SamplePostCollector(lone_store),
+                          RandomStreams(5).stream("ddc/monitor"), horizon=DAY)
+    lone.start()
+    sim.run_until(DAY)
+
+    assert lone.breaker_skipped > 0 and lone.resilience.fastfail_cuts > 0
+    for name in ("iterations_run", "attempts", "timeouts",
+                 "samples_collected", "shed", "breaker_skipped"):
+        assert getattr(job, name) == getattr(lone, name), name
+    assert job.resilience.fastfail_cuts == lone.resilience.fastfail_cuts
+    assert ([repr(s) for s in multi_store.samples()]
+            == [repr(s) for s in lone_store.samples()])
